@@ -329,8 +329,9 @@ func (h *Heap) frameCondemned(f heap.Frame) bool {
 // ctx is the increment holding the reference that led here (nil for
 // roots and the boot image); MOS belts evacuate by referrer.
 func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, error) {
-	if h.space.Forwarded(a) {
-		return h.space.Forwarding(a), nil
+	fwd, size := h.space.ForwardingOrSize(a)
+	if fwd != heap.Nil {
+		return fwd, nil
 	}
 	src := h.incrOf[h.space.FrameOf(a)]
 	if src == nil || !src.condemned {
@@ -338,10 +339,9 @@ func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, err
 	}
 	// Mark-region frames keep their survivors in place (unless flagged
 	// for evacuation): mark, queue for scanning, return the same address.
-	if h.mr.active && h.mrMark(a) {
+	if h.mr.active && h.mrMark(a, size) {
 		return a, nil
 	}
-	size := h.space.SizeOf(a)
 	var dst heap.Addr
 	var err error
 	if h.cfg.MOS && src.belt == h.mosBelt() {
@@ -353,8 +353,7 @@ func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, err
 	if err != nil {
 		return heap.Nil, err
 	}
-	h.space.CopyBytes(a, dst, size)
-	h.space.SetForwarding(a, dst)
+	h.space.CopyAndForward(a, dst, size)
 	c := &h.clock.Counters
 	c.ObjectsCopied++
 	c.BytesCopied += uint64(size)
@@ -519,42 +518,40 @@ func (h *Heap) advanceScan(idx int, st *gcState) (bool, error) {
 
 // scanObject processes the reference slots of one newly copied object:
 // condemned referents are forwarded, and every slot is re-tested against
-// the barrier rule because the object now lives in a new frame. It
-// returns the object's size so the caller advances without a second
-// header decode.
+// the barrier rule because the object now lives in a new frame. The
+// header is decoded once and the slots are read and written through one
+// window onto the frame's slab. It returns the object's size so the
+// caller advances without a second header decode.
 func (h *Heap) scanObject(obj heap.Addr, st *gcState) (int, error) {
 	c := &h.clock.Counters
-	t, length := h.space.Header(obj)
-	n := t.NumRefs(length)
-	slotAddr := obj + heap.HeaderBytes
-	for i := 0; i < n; i++ {
+	slots, size := h.space.RefSlots(obj)
+	ctx := h.incrOf[h.space.FrameOf(obj)]
+	for i, w := range slots {
 		c.SlotsScanned++
 		h.clock.Advance(h.cfg.Costs.ScanSlot)
-		val := heap.Addr(h.space.Word(slotAddr))
-		if val != heap.Nil {
-			if h.mrStale(val) {
-				// Stale pointer in a resurrected dead object: the referent
-				// was reclaimed by a line sweep. Clear it.
-				h.space.SetWord(slotAddr, uint32(heap.Nil))
-				slotAddr += heap.WordBytes
-				continue
-			}
-			if h.isCondemned(val) {
-				ctx := h.incrOf[h.space.FrameOf(obj)]
-				nv, err := h.forward(val, st, ctx)
-				if err != nil {
-					return 0, err
-				}
-				h.space.SetWord(slotAddr, uint32(nv))
-				val = nv
-			} else {
-				h.markLOS(val)
-			}
-			h.rescanSlot(slotAddr, val)
+		val := heap.Addr(w)
+		if val == heap.Nil {
+			continue
 		}
-		slotAddr += heap.WordBytes
+		if h.mrStale(val) {
+			// Stale pointer in a resurrected dead object: the referent
+			// was reclaimed by a line sweep. Clear it.
+			slots[i] = uint32(heap.Nil)
+			continue
+		}
+		if h.isCondemned(val) {
+			nv, err := h.forward(val, st, ctx)
+			if err != nil {
+				return 0, err
+			}
+			slots[i] = uint32(nv)
+			val = nv
+		} else {
+			h.markLOS(val)
+		}
+		h.rescanSlot(h.space.RefSlotAddr(obj, i), val)
 	}
-	return t.Size(length), nil
+	return size, nil
 }
 
 // scanBootImage walks every boot-image object, forwarding condemned

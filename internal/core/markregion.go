@@ -235,8 +235,9 @@ func (h *Heap) mrStale(val heap.Addr) bool {
 // mrMark marks the condemned object at a in place (unless its frame is
 // an evacuation candidate), queueing it for scanning on first mark.
 // Reports whether the object is handled by the mark path; forward falls
-// through to the copying path otherwise.
-func (h *Heap) mrMark(a heap.Addr) bool {
+// through to the copying path otherwise. size is the object's size in
+// bytes, already decoded by forward.
+func (h *Heap) mrMark(a heap.Addr, size int) bool {
 	f := h.space.FrameOf(a)
 	fs := h.mrFrame(f)
 	if fs == nil || h.mr.evac[f] {
@@ -245,7 +246,7 @@ func (h *Heap) mrMark(a heap.Addr) bool {
 	if fs.Mark(int(a - h.space.FrameBase(f))) {
 		c := &h.clock.Counters
 		c.MRObjectsMarked++
-		c.MRBytesMarked += uint64(h.space.SizeOf(a))
+		c.MRBytesMarked += uint64(size)
 		h.clock.Advance(h.cfg.Costs.MarkObject)
 		h.mr.queue = append(h.mr.queue, a)
 	}

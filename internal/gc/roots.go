@@ -26,7 +26,11 @@ type RootSet struct {
 	inUse  []bool
 	epochs []uint32 // incarnation counter per slot; bumps on free-list reuse
 	free   []int32
-	scoped [][]scopedRef // per open scope: handles to release at PopScope
+	// scoped is one stack of the handles to release at PopScope, for all
+	// open scopes; marks[i] is where scope i's entries begin. A flat
+	// stack keeps steady-state scopes free of allocation.
+	scoped []scopedRef
+	marks  []int32
 }
 
 // scopedRef pins a scope entry to one incarnation of its slot. A handle
@@ -53,8 +57,8 @@ func NewRootSet() *RootSet {
 func (r *RootSet) Add(a heap.Addr) Handle {
 	idx := r.addSlot(a)
 	h := Handle(idx + 1)
-	if n := len(r.scoped); n > 0 {
-		r.scoped[n-1] = append(r.scoped[n-1], scopedRef{h, r.epochs[idx]})
+	if len(r.marks) > 0 {
+		r.scoped = append(r.scoped, scopedRef{h, r.epochs[idx]})
 	}
 	return h
 }
@@ -121,21 +125,23 @@ func (r *RootSet) valid(h Handle) bool {
 // PopScope is released automatically. Scopes model stack frames of the
 // mutator.
 func (r *RootSet) PushScope() {
-	r.scoped = append(r.scoped, nil)
+	r.marks = append(r.marks, int32(len(r.scoped)))
 }
 
 // PopScope closes the innermost scope, releasing its handles.
 func (r *RootSet) PopScope() {
-	n := len(r.scoped)
+	n := len(r.marks)
 	if n == 0 {
 		panic("gc: PopScope without PushScope")
 	}
-	for _, sr := range r.scoped[n-1] {
+	m := r.marks[n-1]
+	for _, sr := range r.scoped[m:] {
 		if r.valid(sr.h) && r.epochs[sr.h-1] == sr.epoch {
 			r.Remove(sr.h)
 		}
 	}
-	r.scoped = r.scoped[:n-1]
+	r.scoped = r.scoped[:m]
+	r.marks = r.marks[:n-1]
 }
 
 // Len returns the number of live root slots.

@@ -249,12 +249,12 @@ func TestForwardingProtocol(t *testing.T) {
 	s.Format(a, node, 0, 9)
 	s.SetData(a, 0, 0xabcd)
 	dst := a + 64
-	if n := s.CopyObject(a, dst); n != node.Size(0) {
-		t.Errorf("CopyObject returned %d", n)
+	if fwd, n := s.ForwardingOrSize(a); fwd != Nil || n != node.Size(0) {
+		t.Errorf("ForwardingOrSize = (%v, %d) before forwarding", fwd, n)
 	}
-	s.SetForwarding(a, dst)
+	s.CopyAndForward(a, dst, node.Size(0))
 	if !s.Forwarded(a) {
-		t.Error("Forwarded false after SetForwarding")
+		t.Error("Forwarded false after CopyAndForward")
 	}
 	if s.Forwarding(a) != dst {
 		t.Error("forwarding address wrong")
@@ -271,7 +271,7 @@ func TestForwardingProtocol(t *testing.T) {
 				t.Error("double forwarding did not panic")
 			}
 		}()
-		s.SetForwarding(a, dst)
+		s.CopyAndForward(a, dst+64, node.Size(0))
 	}()
 	func() {
 		defer func() {

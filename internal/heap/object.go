@@ -156,40 +156,74 @@ func (s *Space) Forwarding(addr Addr) Addr {
 	return Addr(s.Word(addr + hdrLenOff))
 }
 
-// SetForwarding marks the object at addr forwarded to dst, clobbering W1.
-func (s *Space) SetForwarding(addr, dst Addr) {
-	if s.Forwarded(addr) {
-		panic(fmt.Sprintf("heap: double forwarding at %v", addr))
+// ForwardingOrSize decodes the header at addr once for the copying
+// collector: a forwarded object yields its forwarding address and size
+// 0, any other object yields Nil and its size in bytes.
+func (s *Space) ForwardingOrSize(addr Addr) (Addr, int) {
+	slab, off := s.slabAt(addr, false)
+	h := slab[off]
+	if h&fwdFlag != 0 {
+		return Addr(slab[off+1]), 0
 	}
-	slab, off := s.slabAt(addr, true)
-	slab[off] |= fwdFlag
-	slab[off+1] = uint32(dst)
+	return Nil, s.Types.Get(TypeID(h & typeMask)).Size(int(slab[off+1]))
+}
+
+// CopyAndForward copies the size-byte object at src to dst (already
+// reserved, zeroed memory) and marks src forwarded to dst, clobbering
+// its W1. The source must not yet be forwarded, and neither range may
+// cross a frame edge: collectible objects never span frames, so one that
+// does means the heap is corrupt.
+func (s *Space) CopyAndForward(src, dst Addr, size int) {
+	ss, so := s.slabAt(src, true)
+	if ss[so]&fwdFlag != 0 {
+		panic(fmt.Sprintf("heap: double forwarding at %v", src))
+	}
+	s.copyWords(ss, so, dst, size)
+	ss[so] |= fwdFlag
+	ss[so+1] = uint32(dst)
 }
 
 // CopyObject copies the object at src to dst (already reserved, zeroed
-// memory) and returns its size in bytes. The source header must not yet
-// be forwarded; the caller installs the forwarding pointer afterwards.
+// memory) and returns its size in bytes, leaving src unforwarded. Like
+// CopyAndForward, it panics if either range crosses a frame edge.
 func (s *Space) CopyObject(src, dst Addr) int {
 	size := s.SizeOf(src)
-	s.CopyBytes(src, dst, size)
+	ss, so := s.slabAt(src, false)
+	s.copyWords(ss, so, dst, size)
 	return size
 }
 
-// CopyBytes copies size bytes (a word multiple) from src to dst. When
-// both ranges lie within one frame — always true for ordinary objects,
-// which never span frames — it is a single copy() over the word slabs.
-func (s *Space) CopyBytes(src, dst Addr, size int) {
+// copyWords copies size bytes starting at word so of slab ss to dst.
+func (s *Space) copyWords(ss []uint32, so uint32, dst Addr, size int) {
 	nw := uint32(size) >> WordShift
-	ss, so := s.slabAt(src, false)
 	ds, do := s.slabAt(dst, true)
-	if so+nw <= uint32(len(ss)) && do+nw <= uint32(len(ds)) {
-		copy(ds[do:do+nw], ss[so:so+nw])
-		return
+	if so+nw > uint32(len(ss)) || do+nw > uint32(len(ds)) {
+		panic(fmt.Sprintf("heap: copy of %d bytes to %v crosses a frame edge", size, dst))
 	}
-	// Frame-spanning range (large objects): fall back to word stores.
-	for off := Addr(0); off < Addr(size); off += WordBytes {
-		s.SetWord(dst+off, s.Word(src+off))
+	copy(ds[do:do+nw], ss[so:so+nw])
+}
+
+// RefSlots decodes the header of the object at addr once and returns its
+// reference slots as a window onto the frame's slab, with the object's
+// size in bytes. Stores into the window are stores into the heap. Each
+// frame owns its slab, so the window stays valid until this frame is
+// unmapped, however many other frames are mapped meanwhile: a scan loop
+// can forward referents and write the slots back without re-resolving
+// the frame. The object must not span frames.
+func (s *Space) RefSlots(addr Addr) ([]uint32, int) {
+	slab, off := s.slabAt(addr, false)
+	h := slab[off]
+	if h&fwdFlag != 0 {
+		panic(fmt.Sprintf("heap: RefSlots on forwarded object at %v", addr))
 	}
+	t := s.Types.Get(TypeID(h & typeMask))
+	length := int(slab[off+1])
+	size := t.Size(length)
+	if off+uint32(size)>>WordShift > uint32(len(slab)) {
+		panic(fmt.Sprintf("heap: object at %v (%d bytes) crosses a frame edge", addr, size))
+	}
+	first := off + headerWords
+	return slab[first : first+uint32(t.NumRefs(length))], size
 }
 
 // WalkObjects calls fn for each object formatted consecutively in

@@ -73,10 +73,6 @@ func (s *Space) FrameBase(f Frame) Addr { return Addr(uint32(f) << s.frameShift)
 // FrameLimit returns one past the last address of frame f.
 func (s *Space) FrameLimit(f Frame) Addr { return s.FrameBase(f) + Addr(s.frameBytes) }
 
-// NumFrames returns the highest frame number ever mapped plus one; frame
-// metadata tables in the collectors are sized by this.
-func (s *Space) NumFrames() int { return len(s.frames) }
-
 // MappedFrames returns the number of currently mapped frames.
 func (s *Space) MappedFrames() int { return s.mapped }
 
@@ -180,17 +176,24 @@ func (s *Space) UnmapSpan(f Frame, n int) {
 	}
 }
 
-// fault reconstructs the precise panic for a bad access. It is kept out
-// of line so Word/SetWord stay small enough to inline with a single
-// combined validity branch on the hot path.
-func (s *Space) fault(a Addr, write bool) {
-	if a&3 != 0 {
-		if write {
-			panic(fmt.Sprintf("heap: misaligned write at %v", a))
+// accessFault is the panic value of a bad heap access: the simulated
+// equivalent of a segfault or bus error. Panicking with a plain value,
+// formatted only when printed, keeps the access paths below small enough
+// to inline, with a single combined validity branch on the hot path.
+type accessFault struct {
+	a          Addr
+	write      bool
+	frameShift uint
+}
+
+func (e accessFault) Error() string {
+	if e.a&3 != 0 {
+		if e.write {
+			return fmt.Sprintf("heap: misaligned write at %v", e.a)
 		}
-		panic(fmt.Sprintf("heap: misaligned read at %v", a))
+		return fmt.Sprintf("heap: misaligned read at %v", e.a)
 	}
-	panic(fmt.Sprintf("heap: fault at %v (frame %d unmapped)", a, uint32(a)>>s.frameShift))
+	return fmt.Sprintf("heap: fault at %v (frame %d unmapped)", e.a, uint32(e.a)>>e.frameShift)
 }
 
 // slabAt returns the word slab of the frame containing a and a's word
@@ -199,7 +202,7 @@ func (s *Space) slabAt(a Addr, write bool) ([]uint32, uint32) {
 	w := uint32(a) >> WordShift
 	f := w >> s.wordShift
 	if a&3 != 0 || int(f) >= len(s.frames) || s.frames[f] == nil {
-		s.fault(a, write)
+		panic(accessFault{a, write, s.frameShift})
 	}
 	return s.frames[f], w & s.wordMask
 }
@@ -219,7 +222,7 @@ func (s *Space) Word(a Addr) uint32 {
 	w := uint32(a) >> WordShift
 	f := w >> s.wordShift
 	if a&3 != 0 || int(f) >= len(s.frames) || s.frames[f] == nil {
-		s.fault(a, false)
+		panic(accessFault{a, false, s.frameShift})
 	}
 	return s.frames[f][w&s.wordMask]
 }
@@ -229,7 +232,7 @@ func (s *Space) SetWord(a Addr, v uint32) {
 	w := uint32(a) >> WordShift
 	f := w >> s.wordShift
 	if a&3 != 0 || int(f) >= len(s.frames) || s.frames[f] == nil {
-		s.fault(a, true)
+		panic(accessFault{a, true, s.frameShift})
 	}
 	s.frames[f][w&s.wordMask] = v
 }

@@ -136,10 +136,15 @@ func (r *Registry) DefineWordArray(name string) *TypeDesc {
 // unknown id read out of a header means heap corruption.
 func (r *Registry) Get(id TypeID) *TypeDesc {
 	if int(id) <= 0 || int(id) >= len(r.types) {
-		panic(fmt.Sprintf("heap: invalid type id %d", id))
+		panic(invalidTypeID(id)) // a plain value keeps Get inlinable
 	}
 	return r.types[id]
 }
+
+// invalidTypeID is Get's panic value.
+type invalidTypeID TypeID
+
+func (id invalidTypeID) Error() string { return fmt.Sprintf("heap: invalid type id %d", TypeID(id)) }
 
 // Lookup returns the descriptor registered under name, or nil.
 func (r *Registry) Lookup(name string) *TypeDesc { return r.byName[name] }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"beltway/internal/gc"
@@ -19,42 +18,28 @@ type rawOp struct {
 // decodeOps parses the trace into its operation list.
 func decodeOps(buf []byte) ([]rawOp, error) {
 	var ops []rawOp
-	pos := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("trace: bad varint at %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
 	argc := map[byte]int{
 		opDefineType: 4, opAlloc: 3, opAllocGlobal: 3, opAllocImmortal: 3,
 		opSetRef: 3, opGetRef: 3, opRelease: 1, opPush: 0, opPop: 0,
 		opSetData: 3, opGetData: 2, opWork: 1, opCollect: 1, opKeep: 2,
 		opAllocPretenured: 4,
 	}
-	for pos < len(buf) {
-		op := rawOp{code: buf[pos]}
-		pos++
+	d := &decoder{buf: buf}
+	for d.more() {
+		op := rawOp{code: buf[d.pos]}
+		d.pos++
 		n, ok := argc[op.code]
 		if !ok {
-			return nil, fmt.Errorf("trace: unknown op %d at %d", op.code, pos-1)
+			return nil, fmt.Errorf("trace: unknown op %d at %d", op.code, d.pos-1)
 		}
 		for i := 0; i < n; i++ {
-			v, err := next()
-			if err != nil {
-				return nil, err
-			}
-			op.args = append(op.args, v)
+			op.args = append(op.args, d.uvarint())
 		}
 		if op.code == opDefineType {
-			nameLen := int(op.args[3])
-			if pos+nameLen > len(buf) {
-				return nil, fmt.Errorf("trace: bad type record at %d", pos)
-			}
-			op.name = string(buf[pos : pos+nameLen])
-			pos += nameLen
+			op.name = string(d.bytes(op.args[3]))
+		}
+		if d.err != nil {
+			return nil, d.err
 		}
 		ops = append(ops, op)
 	}

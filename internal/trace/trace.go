@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"beltway/internal/gc"
 	"beltway/internal/heap"
@@ -161,18 +162,81 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return int64(n + m), err
 }
 
-// ReadFrom deserializes a trace written by WriteTo.
+// maxTraceBytes caps the payload length a serialized trace may declare.
+// Recorded traces stay far below it (a full-scale workload records tens
+// of megabytes); a larger claim means a corrupt header.
+const maxTraceBytes = 1 << 30
+
+// ReadFrom deserializes a trace written by WriteTo. The payload is read
+// incrementally, so a header that declares more bytes than the stream
+// holds costs memory in proportion to the bytes actually present.
 func ReadFrom(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	size, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("trace: bad header: %w", err)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	if size > maxTraceBytes {
+		return nil, fmt.Errorf("trace: bad header: declared length %d exceeds %d bytes", size, maxTraceBytes)
+	}
+	buf, err := io.ReadAll(io.LimitReader(br, int64(size)))
+	if err != nil {
 		return nil, fmt.Errorf("trace: truncated: %w", err)
 	}
+	if uint64(len(buf)) < size {
+		return nil, fmt.Errorf("trace: truncated: %d of %d bytes: %w", len(buf), size, io.ErrUnexpectedEOF)
+	}
 	return &Trace{buf: buf}, nil
+}
+
+// decoder reads the varint fields of a trace buffer. The first bad field
+// sticks in err and every later read returns 0, so a record's fields can
+// be read in one go and checked once.
+type decoder struct {
+	buf []byte
+	pos int
+	err error
+}
+
+func (d *decoder) more() bool { return d.err == nil && d.pos < len(d.buf) }
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	if n <= 0 {
+		d.err = fmt.Errorf("trace: bad varint at %d", d.pos)
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+// int reads a field that replays as an int: a count, index, length or
+// handle. Recorded values fit in 31 bits; a larger one is corrupt.
+func (d *decoder) int() int {
+	at := d.pos
+	v := d.uvarint()
+	if v > math.MaxInt32 && d.err == nil {
+		d.err = fmt.Errorf("trace: field %d at %d out of range", v, at)
+		return 0
+	}
+	return int(v)
+}
+
+// bytes reads an n-byte inline payload (a type name).
+func (d *decoder) bytes(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.buf)-d.pos) {
+		d.err = fmt.Errorf("trace: %d-byte payload at %d overruns the trace", n, d.pos)
+		return nil
+	}
+	b := d.buf[d.pos : d.pos+int(n)]
+	d.pos += int(n)
+	return b
 }
 
 // Replay executes the trace against a fresh mutator. Handle values are
@@ -190,147 +254,137 @@ func Replay(t *Trace, m *vm.Mutator) error {
 
 func replayBody(t *Trace, m *vm.Mutator) error {
 	types := m.C.Space().Types
-	var typeTab []*heap.TypeDesc // index 0 unused
-	typeTab = append(typeTab, nil)
-
-	buf := t.buf
-	pos := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("trace: bad varint at %d", pos)
+	typeTab := []*heap.TypeDesc{nil} // index 0 unused
+	typeAt := func(ti int) *heap.TypeDesc {
+		if ti <= 0 || ti >= len(typeTab) {
+			return nil
 		}
-		pos += n
-		return v, nil
+		return typeTab[ti]
 	}
-	for pos < len(buf) {
-		op := buf[pos]
-		pos++
+
+	d := &decoder{buf: t.buf}
+	for d.more() {
+		at := d.pos
+		op := d.buf[at]
+		d.pos++
 		switch op {
 		case opDefineType:
-			kind, _ := next()
-			refs, _ := next()
-			words, _ := next()
-			nameLen, err := next()
-			if err != nil || pos+int(nameLen) > len(buf) {
-				return fmt.Errorf("trace: bad type record")
+			kind, refs, words := d.int(), d.int(), d.int()
+			name := string(d.bytes(d.uvarint()))
+			if d.err != nil {
+				return d.err
 			}
-			name := string(buf[pos : pos+int(nameLen)])
-			pos += int(nameLen)
+			if kind > int(heap.WordArray) || heap.Kind(kind) != heap.Scalar && refs+words != 0 {
+				return fmt.Errorf("trace: bad type record at %d", at)
+			}
 			td := types.Lookup(name)
 			if td == nil {
-				td = types.Define(name, heap.Kind(kind), int(refs), int(words))
+				td = types.Define(name, heap.Kind(kind), refs, words)
 			}
 			typeTab = append(typeTab, td)
 		case opAlloc, opAllocGlobal, opAllocImmortal:
-			ti, _ := next()
-			length, _ := next()
-			want, err := next()
-			if err != nil || ti == 0 || int(ti) >= len(typeTab) {
-				return fmt.Errorf("trace: bad alloc record")
+			td, length, want := typeAt(d.int()), d.int(), d.int()
+			if d.err != nil {
+				return d.err
+			}
+			if td == nil {
+				return fmt.Errorf("trace: bad alloc record at %d", at)
 			}
 			var h gc.Handle
 			switch op {
 			case opAlloc:
-				h = m.Alloc(typeTab[ti], int(length))
+				h = m.Alloc(td, length)
 			case opAllocGlobal:
-				h = m.AllocGlobal(typeTab[ti], int(length))
+				h = m.AllocGlobal(td, length)
 			default:
-				h = m.AllocImmortal(typeTab[ti], int(length))
+				h = m.AllocImmortal(td, length)
 			}
-			if uint64(h) != want {
+			if int(h) != want {
 				return fmt.Errorf("trace: alloc handle drift: got %d want %d", h, want)
 			}
 		case opSetRef:
-			obj, _ := next()
-			slot, _ := next()
-			val, err := next()
-			if err != nil {
-				return fmt.Errorf("trace: bad setref")
+			obj, slot, val := gc.Handle(d.int()), d.int(), gc.Handle(d.int())
+			if d.err != nil {
+				return d.err
 			}
-			if gc.Handle(val) == gc.NilHandle {
-				m.SetRefNil(gc.Handle(obj), int(slot))
+			if val == gc.NilHandle {
+				m.SetRefNil(obj, slot)
 			} else {
-				m.SetRef(gc.Handle(obj), int(slot), gc.Handle(val))
+				m.SetRef(obj, slot, val)
 			}
 		case opGetRef:
-			obj, _ := next()
-			slot, _ := next()
-			want, err := next()
-			if err != nil {
-				return fmt.Errorf("trace: bad getref")
+			obj, slot, want := gc.Handle(d.int()), d.int(), d.int()
+			if d.err != nil {
+				return d.err
 			}
-			h := m.GetRef(gc.Handle(obj), int(slot))
-			if uint64(h) != want {
+			if h := m.GetRef(obj, slot); int(h) != want {
 				return fmt.Errorf("trace: getref handle drift: got %d want %d", h, want)
 			}
 		case opRelease:
-			h, err := next()
-			if err != nil {
-				return err
+			h := gc.Handle(d.int())
+			if d.err != nil {
+				return d.err
 			}
-			m.Release(gc.Handle(h))
+			m.Release(h)
 		case opPush:
 			m.Push()
 		case opPop:
 			m.Pop()
 		case opSetData:
-			obj, _ := next()
-			i, _ := next()
-			v, err := next()
-			if err != nil {
-				return err
+			obj, i, v := gc.Handle(d.int()), d.int(), d.uvarint()
+			if d.err != nil {
+				return d.err
 			}
-			m.SetData(gc.Handle(obj), int(i), uint32(v))
+			if v > math.MaxUint32 {
+				return fmt.Errorf("trace: bad setdata record at %d", at)
+			}
+			m.SetData(obj, i, uint32(v))
 		case opGetData:
-			obj, _ := next()
-			i, err := next()
-			if err != nil {
-				return err
+			obj, i := gc.Handle(d.int()), d.int()
+			if d.err != nil {
+				return d.err
 			}
-			m.GetData(gc.Handle(obj), int(i))
+			m.GetData(obj, i)
 		case opWork:
-			n, err := next()
-			if err != nil {
-				return err
+			n := d.int()
+			if d.err != nil {
+				return d.err
 			}
-			m.Work(int(n))
+			m.Work(n)
 		case opCollect:
-			f, err := next()
-			if err != nil {
-				return err
+			f := d.uvarint()
+			if d.err != nil {
+				return d.err
 			}
 			m.Collect(f == 1)
 		case opKeep:
-			h, _ := next()
-			want, err := next()
-			if err != nil {
-				return err
+			h, want := gc.Handle(d.int()), d.int()
+			if d.err != nil {
+				return d.err
 			}
-			out := m.Keep(gc.Handle(h))
-			if uint64(out) != want {
+			if out := m.Keep(h); int(out) != want {
 				return fmt.Errorf("trace: keep handle drift: got %d want %d", out, want)
 			}
 		case opAllocPretenured:
-			ti, _ := next()
-			length, _ := next()
-			want, _ := next()
-			g, err := next()
-			if err != nil || ti == 0 || int(ti) >= len(typeTab) {
-				return fmt.Errorf("trace: bad pretenured alloc record")
+			td, length, want, g := typeAt(d.int()), d.int(), d.int(), d.uvarint()
+			if d.err != nil {
+				return d.err
+			}
+			if td == nil {
+				return fmt.Errorf("trace: bad pretenured alloc record at %d", at)
 			}
 			var h gc.Handle
 			if g == 1 {
-				h = m.AllocPretenuredGlobal(typeTab[ti], int(length))
+				h = m.AllocPretenuredGlobal(td, length)
 			} else {
-				h = m.AllocPretenured(typeTab[ti], int(length))
+				h = m.AllocPretenured(td, length)
 			}
-			if uint64(h) != want {
+			if int(h) != want {
 				return fmt.Errorf("trace: pretenured handle drift: got %d want %d", h, want)
 			}
 		default:
-			return fmt.Errorf("trace: unknown op %d at %d", op, pos-1)
+			return fmt.Errorf("trace: unknown op %d at %d", op, at)
 		}
 	}
-	return nil
+	return d.err
 }
