@@ -52,7 +52,7 @@ func main() {
 		showMMU = flag.Bool("mmu", false, "print the MMU curve")
 		preten  = flag.Bool("pretenure", false, "route known-long-lived allocation sites to older belts")
 		muts    = flag.Int("mutators", 1,
-			"mutator goroutines; >1 shards the run over N private heaps (simulated N-core makespan)")
+			"mutator goroutines, one private heap each; >1 reports the simulated N-core makespan; -adapt needs 1")
 
 		serverMode = flag.Bool("server", false,
 			"run the request/response server workload instead of -bench")
@@ -88,18 +88,13 @@ func main() {
 	env.Pretenure = *preten
 	env.Mutators = *muts
 	env.Policy = *adapt
-	seedSet, mutatorsSet := false, false // explicit flags, even at defaults
+	seedSet := false // explicit -seed, even at its default
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
+		if f.Name == "seed" {
 			seedSet = true
-		case "mutators":
-			mutatorsSet = true
 		}
 	})
-	// An explicit -mutators forces the sharded runtime in server mode even
-	// at 1, so validate against it upfront rather than deep in the run.
-	if err := harness.ValidateEnv(env, mutatorsSet && *serverMode); err != nil {
+	if err := harness.ValidateEnv(env); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -153,14 +148,7 @@ func main() {
 	env.Telemetry = true
 	var res *harness.Result
 	if *serverMode {
-		// An explicit -mutators forces the sharded runtime even at 1, so
-		// `-mutators 1` demonstrates the flat/sharded replay identity from
-		// the command line rather than trivially taking the flat path.
-		if mutatorsSet {
-			res, err = harness.RunServerSharded(config, sc, slo, env)
-		} else {
-			res, err = harness.RunServer(config, sc, slo, env)
-		}
+		res, err = harness.RunServer(config, sc, slo, env)
 	} else {
 		res, err = harness.RunOne(config, b, env)
 	}

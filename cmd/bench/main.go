@@ -90,10 +90,10 @@ func main() {
 		}
 		bench.ShardCounts = counts
 	}
-	// -adapt applies only to the flat single-mutator server benchmarks
+	// -adapt applies only to the one-mutator server benchmarks
 	// (-mutators here caps the shard suite's curve, a different axis), so
 	// validate it as a single-mutator environment.
-	if err := harness.ValidateEnv(harness.Env{Policy: *adapt, Mutators: 1}, false); err != nil {
+	if err := harness.ValidateEnv(harness.Env{Policy: *adapt, Mutators: 1}); err != nil {
 		fatal(err)
 	}
 	bench.ServerPolicy = *adapt

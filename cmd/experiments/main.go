@@ -120,7 +120,7 @@ func main() {
 	env.FaultSeed = *faultSeed
 	env.Mutators = *mutators
 	env.Policy = *adapt
-	if err := harness.ValidateEnv(env, false); err != nil {
+	if err := harness.ValidateEnv(env); err != nil {
 		fatalf("%v", err)
 	}
 

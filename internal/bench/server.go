@@ -8,11 +8,12 @@ import (
 	"beltway/internal/server"
 )
 
-// ServerPolicy, when non-empty, runs the single-mutator server
-// benchmarks with the adaptive policy controller on this objective
+// ServerPolicy, when non-empty, runs the one-mutator server benchmarks
+// with the adaptive policy controller on this objective
 // (harness.Env.Policy syntax). cmd/bench sets it from -adapt so the
 // controller's steady-state overhead is diffable against static runs;
-// the sharded benchmark ignores it (adaptation is single-mutator only).
+// the four-mutator benchmark ignores it, since harness.RunServer
+// rejects a policy on more than one mutator.
 var ServerPolicy string
 
 // runServer measures the request/response server workload end to end on

@@ -111,7 +111,7 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 	// Renew condemned mark-region increments (fresh seq at the back of
 	// their belts, frames restamped) and pick the frames to evacuate,
 	// before any slot is examined against the stamps.
-	h.mrPrepareCollection(victims)
+	h.mrPrepareCollection(victims, trigger == gc.TriggerDefrag)
 
 	st := &h.gcs
 	st.reset(victims, len(h.belts))

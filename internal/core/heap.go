@@ -270,6 +270,15 @@ func (h *Heap) Alloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 			return heap.Nil, err
 		}
 	}
+	if ran, err := h.mrDefrag(); err != nil {
+		return heap.Nil, err
+	} else if ran {
+		if a, ok := h.tryAlloc(size); ok {
+			h.serial++
+			h.space.Format(a, t, length, h.serial)
+			return a, nil
+		}
+	}
 	if h.cfg.Degrade {
 		a, ok, err := h.rescueAlloc(size, func() (heap.Addr, bool) { return h.tryAlloc(size) })
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"beltway/internal/gc"
 	"beltway/internal/heap"
 	"beltway/internal/markregion"
 )
@@ -187,7 +188,10 @@ func (h *Heap) mrRefillBelt(bi, size int) (heap.Addr, bool) {
 //   - FIFO progress is preserved: the renewed increment re-enters at
 //     the back, so the belt's other increments are each collected
 //     before it is condemned again.
-func (h *Heap) mrPrepareCollection(victims []*Increment) {
+//
+// evacuateAll flags every frame of the condemned mark-region increments,
+// whatever its occupancy (the defragmenting collection, see mrDefrag).
+func (h *Heap) mrPrepareCollection(victims []*Increment, evacuateAll bool) {
 	if !h.mr.active {
 		return
 	}
@@ -195,6 +199,9 @@ func (h *Heap) mrPrepareCollection(victims []*Increment) {
 	threshold := 0
 	if h.cfg.MRDefragFrac > 0 {
 		threshold = int(h.cfg.MRDefragFrac * float64(h.mr.geo.Lines()))
+	}
+	if evacuateAll {
+		threshold = h.mr.geo.Lines() + 1
 	}
 	for _, in := range victims {
 		if !h.isMRBelt(in.belt) {
@@ -212,6 +219,34 @@ func (h *Heap) mrPrepareCollection(victims []*Increment) {
 			h.stamp[f] = stampOf(belt.priority, in.seq)
 		}
 	}
+}
+
+// mrDefrag is the last collection before a mark-region allocation belt
+// reports OOM. Marking in place never moves survivors, so a capped belt
+// whose every frame keeps a few live lines — each above MRDefragFrac,
+// none with a free run long enough — frees nothing usable however often
+// it is collected. This collection evacuates every condemned
+// mark-region frame into the promotion target instead. It runs only
+// when the unmapped heap holds twice the condemned frames, so the
+// copies cannot run out of memory. Reports whether a collection ran.
+func (h *Heap) mrDefrag() (bool, error) {
+	if !h.isMRBelt(h.allocBelt) {
+		return false, nil
+	}
+	victims := h.chooseVictims()
+	frames := 0
+	for _, in := range victims {
+		if h.isMRBelt(in.belt) {
+			frames += len(in.frames)
+		}
+	}
+	if frames == 0 || h.cfg.HeapBytes/h.cfg.FrameBytes-h.heapFrames < 2*frames {
+		return false, nil
+	}
+	if err := h.collect(victims, gc.TriggerDefrag); err != nil {
+		return true, err
+	}
+	return true, h.settleDegradation()
 }
 
 // mrStale reports whether val points into a mark-region frame at an

@@ -91,7 +91,7 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("farm: heap factor %v must be positive", f)
 		}
 	}
-	return harness.ValidateEnv(g.Env, false)
+	return harness.ValidateEnv(g.Env)
 }
 
 func nominalOptions(env harness.Env) collectors.Options {
@@ -158,20 +158,5 @@ func ExecuteSpec(spec JobSpec) ([]byte, engine.Outcome, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("farm: %w", err)
 	}
-	res, err := harness.RunOne(cfg, bench, spec.Env)
-	if err != nil {
-		return nil, "", err
-	}
-	out := engine.OK
-	switch {
-	case res.OOM:
-		out = engine.OOM
-	case res.Aborted:
-		out = engine.Budget
-	}
-	payload, err := harness.MarshalRunPayload(res)
-	if err != nil {
-		return nil, "", err
-	}
-	return payload, out, nil
+	return harness.RunJob(cfg, bench, spec.Env)
 }

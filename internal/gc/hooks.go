@@ -25,6 +25,11 @@ const (
 	// collectible increment as a last resort before surfacing an OOM —
 	// the X.X -> X.X.100 completeness fallback.
 	TriggerEmergency
+	// TriggerDefrag: a mark-region allocation belt still could not fit
+	// an allocation after repeated collections, so one more collection
+	// evacuates every condemned mark-region frame instead of marking
+	// survivors in place (Immix's defragmenting collection).
+	TriggerDefrag
 )
 
 func (t TriggerKind) String() string {
@@ -39,6 +44,8 @@ func (t TriggerKind) String() string {
 		return "forced-full"
 	case TriggerEmergency:
 		return "emergency"
+	case TriggerDefrag:
+		return "defrag"
 	default:
 		return "unknown"
 	}

@@ -117,6 +117,11 @@ func (r *RootSet) Set(h Handle, a heap.Addr) {
 	r.slots[h-1] = a
 }
 
+// Live reports whether h names a live root: one handed out by Add or
+// AddGlobal and not yet released. Decoders of recorded handles check it
+// before touching the slot.
+func (r *RootSet) Live(h Handle) bool { return r.valid(h) }
+
 func (r *RootSet) valid(h Handle) bool {
 	return h >= 1 && int(h) <= len(r.slots) && r.inUse[h-1]
 }

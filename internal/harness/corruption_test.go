@@ -65,3 +65,18 @@ func TestRunOneBudgetAbortStillWorks(t *testing.T) {
 		t.Fatalf("budget %v did not abort the run (total %v)", env.CostBudget, res.TotalTime)
 	}
 }
+
+// TestRunOneRecoversShardPanicAsHeapCorruption: with several mutators a
+// panicking shard surfaces the same way, with that shard's event tail.
+func TestRunOneRecoversShardPanicAsHeapCorruption(t *testing.T) {
+	env := testEnv()
+	env.Mutators = 2
+	_, err := RunOne(appelFunc(env)(1<<20), corruptingBenchmark(), env)
+	var hc *HeapCorruptionError
+	if !errors.As(err, &hc) {
+		t.Fatalf("error %T (%v), want *HeapCorruptionError", err, err)
+	}
+	if hc.Panic == nil || len(hc.Events) < 1 {
+		t.Fatalf("panic %v with %d events; want the panic value and the shard's event tail", hc.Panic, len(hc.Events))
+	}
+}

@@ -13,11 +13,11 @@ import (
 
 	"beltway/internal/core"
 	"beltway/internal/gc"
-	"beltway/internal/heap"
 	"beltway/internal/mmu"
 	"beltway/internal/policy"
 	"beltway/internal/resilience"
 	"beltway/internal/server"
+	"beltway/internal/shard"
 	"beltway/internal/stats"
 	"beltway/internal/telemetry"
 	"beltway/internal/workload"
@@ -49,11 +49,10 @@ type Env struct {
 	// (resilience.NewSchedule with the default horizon). Chaos testing
 	// only; leave zero for measurements.
 	FaultSeed int64 `json:",omitempty"`
-	// Mutators, when > 1, runs the benchmark on that many sharded
-	// mutator goroutines (internal/shard): each shard drives a private
-	// heap with the same configuration and its own decorrelated seed
-	// stream, and the measurement is the simulated N-core makespan.
-	// 0 and 1 both mean the classic single-mutator run.
+	// Mutators is the number of sharded mutator goroutines
+	// (internal/shard), each driving a private heap with the same
+	// configuration and its own seed stream; above 1 the measurement is
+	// the simulated N-core makespan. 0 and 1 both mean one mutator.
 	Mutators int `json:",omitempty"`
 	// Policy, when non-empty, attaches the adaptive policy controller
 	// (internal/policy) with this objective spec — policy.Parse syntax,
@@ -166,18 +165,75 @@ func (r *Result) MMU(points int) mmu.Curve {
 	return curve
 }
 
-// RunOne executes one benchmark on one collector configuration.
-// An out-of-memory completion is reported via Result.OOM, not an error,
-// and a cost-budget abort via Result.Aborted; errors are reserved for
-// misconfiguration.
-func RunOne(cfg core.Config, bench *workload.Benchmark, env Env) (res *Result, err error) {
-	if env.Mutators > 1 {
-		if env.Policy != "" {
-			_, err := newController(env)
-			return nil, err
-		}
-		return RunSharded(cfg, bench, env)
+// RunOne executes one benchmark on one collector configuration. An
+// out-of-memory completion is reported via Result.OOM, not an error, and
+// a cost-budget abort via Result.Aborted; errors are reserved for
+// misconfiguration and heap corruption (*HeapCorruptionError).
+//
+// With Env.Mutators > 1 every shard runs the full benchmark body against
+// a private heap with the run's configuration and its own decorrelated
+// seed stream (shard.StreamSeed): N independent program instances on a
+// simulated N-core machine, the scale-out the paper's single-threaded
+// testbed could not measure. Collections stay shard-local, and the run
+// ends with one rendezvoused global collection at the final barrier.
+func RunOne(cfg core.Config, bench *workload.Benchmark, env Env) (*Result, error) {
+	if env.Scale <= 0 {
+		return nil, fmt.Errorf("harness: %s on %s: non-positive scale %v", cfg.Name, bench.Name, env.Scale)
 	}
+	return run(cfg, env, runSpec{
+		name:    bench.Name,
+		seed:    env.Seed,
+		rounds:  1,
+		finalGC: true,
+		body: func(_ int, s *shard.Shard) {
+			bench.Body(&workload.Ctx{
+				M:         s.M,
+				Types:     s.Heap.Space().Types,
+				Rng:       s.Rng,
+				Scale:     env.Scale,
+				Pretenure: env.Pretenure,
+			})
+		},
+	})
+}
+
+// runSpec is what one kind of run adds to the shared runner.
+type runSpec struct {
+	name    string // Result.Benchmark
+	seed    int64  // base seed of the shard streams
+	rounds  int
+	finalGC bool // with N > 1 shards, collect globally at the last barrier
+	// start prepares each shard, in id order, before the first round;
+	// ctrl is the run's adaptive controller (nil unless Env.Policy is
+	// set). finish completes the Result before telemetry is snapshotted.
+	// Both may be nil.
+	start  func(s *shard.Shard, ctrl *policy.Controller) error
+	body   func(round int, s *shard.Shard)
+	finish func(res *Result, rt *shard.Runtime)
+}
+
+// run is the one run path: a shard.Runtime of Env.Mutators shards (one
+// when unset) over cfg, the spec's plan, and the shards folded into a
+// Result.
+//
+// One shard is the classic single-mutator run: shard 0's seed stream is
+// the identity, cfg carries the fault injector and adaptive controller,
+// there is no final rendezvous (one shard has nobody to meet), and the
+// Result is the shard's own timeline with Mutators left 0. With N > 1,
+// TotalTime is the simulated N-core makespan, GCTime and MaxPause the
+// maximum over shards, counters and collections the sum, and Pauses the
+// concatenation of every shard's (quantiles stay meaningful; MMU windows
+// are conservative since concurrent pauses overlap).
+//
+// A panic out of a shard's heap or vm means its state is untrustworthy:
+// no Result, but a *HeapCorruptionError with the panic and that shard's
+// flight-recorder tail. Every shard carries a recorder for that reason
+// (hook emission reads the clock without advancing it).
+func run(cfg core.Config, env Env, spec runSpec) (*Result, error) {
+	if err := checkMutators(env); err != nil {
+		return nil, err
+	}
+	n := max(env.Mutators, 1)
 	if env.Degrade {
 		cfg.Degrade = true
 	}
@@ -185,96 +241,97 @@ func RunOne(cfg core.Config, bench *workload.Benchmark, env Env) (res *Result, e
 		sched := resilience.NewSchedule(env.FaultSeed, resilience.DefaultHorizon)
 		cfg.Faults = resilience.NewInjector(sched).Hooks()
 	}
-	ctrl, cerr := newController(env)
-	if cerr != nil {
-		return nil, cerr
-	}
-	if ctrl != nil {
+	// Controllers are stateful: every run gets a fresh one.
+	var ctrl *policy.Controller
+	if env.Policy != "" {
+		pc, err := policy.Parse(env.Policy)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
+		}
+		ctrl = policy.New(pc)
 		cfg.Policy = ctrl
 	}
-	types := heap.NewRegistry()
-	h, herr := core.New(cfg, types)
-	if herr != nil {
-		return nil, fmt.Errorf("harness: %s on %s: %w", cfg.Name, bench.Name, herr)
+	wrap := func(err error) error { return fmt.Errorf("harness: %s on %s: %w", cfg.Name, spec.name, err) }
+	rt, err := shard.New(cfg, shard.Options{Shards: n, Seed: spec.seed, PerShardHeap: true, Telemetry: true})
+	if err != nil {
+		return nil, wrap(err)
 	}
-	h.Clock().Budget = env.CostBudget
-	// The flight recorder is always attached (hook emission reads the
-	// clock without advancing it, so this changes no measurement): a
-	// panicking run needs its event tail for the corruption report even
-	// when Env.Telemetry is off.
-	tele := telemetry.NewRun(h.Clock())
-	h.SetHooks(tele.Hooks())
-	if ctrl != nil {
-		ctrl.SetEmitter(tele.PolicyObserver())
-	}
-	snapshot := func() *Result {
-		res := &Result{
-			Collector:   cfg.Name,
-			Benchmark:   bench.Name,
-			HeapBytes:   cfg.HeapBytes,
-			TotalTime:   h.Clock().TotalTime(),
-			GCTime:      h.Clock().GCTime(),
-			MaxPause:    h.Clock().MaxPause(),
-			Pauses:      h.Clock().Pauses(),
-			Counters:    h.Clock().Counters,
-			Collections: h.Collections(),
-		}
-		if env.Telemetry {
-			res.Telemetry = tele.Snapshot()
-		}
+	for _, s := range rt.Shards() {
+		s.Heap.Clock().Budget = env.CostBudget
 		if ctrl != nil {
-			res.Policy = ctrl.Summary()
+			ctrl.SetEmitter(s.Tele.PolicyObserver())
 		}
-		return res
+		if spec.start != nil {
+			if err := spec.start(s, ctrl); err != nil {
+				return nil, wrap(err)
+			}
+		}
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(stats.BudgetExceeded); ok {
-				res = snapshot()
-				res.Aborted = true
-				err = nil
-				return
+	panics := make([]any, n) // the runtime keeps only a failure string
+	plan := shard.Plan{
+		Rounds: spec.rounds,
+		Body: func(round int, s *shard.Shard) {
+			defer func() {
+				if r := recover(); r != nil {
+					panics[s.ID] = r
+					panic(r)
+				}
+			}()
+			spec.body(round, s)
+		},
+	}
+	if spec.finalGC && n > 1 {
+		plan.CollectEvery = spec.rounds
+	}
+	if err := rt.Run(plan); err != nil {
+		return nil, wrap(err)
+	}
+	for _, s := range rt.Shards() {
+		if s.Failure() != "" {
+			p := panics[s.ID]
+			if p == nil {
+				p = s.Failure()
 			}
-			// Any other panic out of the heap or vm is a corruption: the
-			// run's state is untrustworthy, so no Result — a typed error
-			// carrying the panic and the flight-recorder tail instead.
-			res = nil
-			err = &HeapCorruptionError{
+			return nil, &HeapCorruptionError{
 				Collector: cfg.Name,
-				Benchmark: bench.Name,
-				Panic:     r,
-				Events:    tele.Recorder().Last(corruptionEventTail),
+				Benchmark: spec.name,
+				Panic:     p,
+				Events:    s.Tele.Recorder().Last(corruptionEventTail),
 			}
 		}
-	}()
-	params := workload.Params{Scale: env.Scale, Seed: env.Seed, Pretenure: env.Pretenure}
-	runErr := bench.Run(h, params)
-	res = snapshot()
-	if runErr != nil {
-		if errors.Is(runErr, gc.ErrOutOfMemory) {
-			res.OOM = true
-			return res, nil
+		if err := s.Err(); err != nil && !errors.Is(err, gc.ErrOutOfMemory) {
+			return nil, wrap(err)
 		}
-		return nil, fmt.Errorf("harness: %s on %s: %w", cfg.Name, bench.Name, runErr)
+	}
+
+	sres := rt.Result()
+	res := &Result{Collector: cfg.Name, Benchmark: spec.name, HeapBytes: cfg.HeapBytes}
+	if n == 1 {
+		st := sres.PerShard[0]
+		res.TotalTime, res.GCTime, res.MaxPause = st.TotalTime, st.GCTime, st.MaxPause
+		res.Pauses, res.Counters, res.Collections = st.Pauses, st.Counters, st.Collections
+		res.OOM, res.Aborted = st.OOM, st.Aborted
+	} else {
+		res.Mutators = n
+		res.TotalTime = sres.Makespan
+		for _, st := range sres.PerShard {
+			res.Counters.Add(st.Counters)
+			res.Collections += st.Collections
+			res.GCTime = max(res.GCTime, st.GCTime)
+			res.MaxPause = max(res.MaxPause, st.MaxPause)
+			res.Pauses = append(res.Pauses, st.Pauses...)
+			res.OOM = res.OOM || st.OOM
+			res.Aborted = res.Aborted || st.Aborted
+		}
+	}
+	if spec.finish != nil {
+		spec.finish(res, rt)
+	}
+	if env.Telemetry {
+		res.Telemetry = rt.MergedTelemetry()
+	}
+	if ctrl != nil {
+		res.Policy = ctrl.Summary()
 	}
 	return res, nil
-}
-
-// newController builds the adaptive controller declared by Env.Policy
-// (nil when the env declares none). Controllers are stateful and
-// per-run: every RunOne/RunServer call gets a fresh one. Adaptive runs
-// are single-mutator only — sharded heaps tune independently per shard,
-// which is a different (and unimplemented) design.
-func newController(env Env) (*policy.Controller, error) {
-	if env.Policy == "" {
-		return nil, nil
-	}
-	if env.Mutators > 1 {
-		return nil, fmt.Errorf("harness: adaptive policy (%q) is single-mutator only (got Mutators=%d)", env.Policy, env.Mutators)
-	}
-	pc, err := policy.Parse(env.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	return policy.New(pc), nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"beltway/internal/core"
 	"beltway/internal/engine"
 	"beltway/internal/stats"
 	"beltway/internal/workload"
@@ -61,23 +62,9 @@ func (x *Executor) RunAll(specs []RunSpec) ([]*Result, []engine.Record, error) {
 	for i := range specs {
 		sp := specs[i]
 		jobs[i] = engine.Job{Key: sp.Key, Run: func() (any, engine.Outcome, error) {
-			res, err := RunOne(sp.Make(sp.Key.HeapBytes), sp.Bench, sp.Env)
+			payload, out, err := RunJob(sp.Make(sp.Key.HeapBytes), sp.Bench, sp.Env)
 			if err != nil {
 				return nil, "", err
-			}
-			out := engine.OK
-			switch {
-			case res.OOM:
-				out = engine.OOM
-			case res.Aborted:
-				out = engine.Budget
-			}
-			// The canonical serialization (shared with the farm worker and
-			// ledger replay), pre-marshaled so the checkpoint bytes are the
-			// digestable artifact bytes.
-			payload, merr := MarshalRunPayload(res)
-			if merr != nil {
-				return nil, "", merr
 			}
 			return json.RawMessage(payload), out, nil
 		}}
@@ -104,6 +91,30 @@ func (x *Executor) RunAll(specs []RunSpec) ([]*Result, []engine.Record, error) {
 		results[i] = failedResult(specs[i], msg)
 	}
 	return results, recs, nil
+}
+
+// RunJob runs one benchmark like RunOne and returns what the engine
+// records for it: the canonical payload (MarshalRunPayload, shared by the
+// executor, the farm worker and ledger replay, so checkpoint bytes are
+// the digestable artifact bytes) and the outcome. OOM and budget aborts
+// are outcomes; errors are RunOne's.
+func RunJob(cfg core.Config, bench *workload.Benchmark, env Env) ([]byte, engine.Outcome, error) {
+	res, err := RunOne(cfg, bench, env)
+	if err != nil {
+		return nil, "", err
+	}
+	out := engine.OK
+	switch {
+	case res.OOM:
+		out = engine.OOM
+	case res.Aborted:
+		out = engine.Budget
+	}
+	payload, err := MarshalRunPayload(res)
+	if err != nil {
+		return nil, "", err
+	}
+	return payload, out, nil
 }
 
 func failedResult(sp RunSpec, msg string) *Result {

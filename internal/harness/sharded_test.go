@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"beltway/internal/collectors"
@@ -18,43 +19,6 @@ func shardedTestConfig(t *testing.T, env Env) core.Config {
 	return cfg
 }
 
-// TestRunShardedOverhead pins the acceptance bound on sharding overhead:
-// a 1-mutator sharded run must stay within 10% of the classic
-// single-mutator path on total time. Shard 0's seed stream is the
-// identity, so the workload is bit-identical and allocation volume must
-// match exactly; the sharded run only adds the round barrier and one
-// final rendezvoused collection.
-func TestRunShardedOverhead(t *testing.T) {
-	env := EnvForScale(0.25)
-	env.PhysMemBytes = 0
-	cfg := shardedTestConfig(t, env)
-	bench := workload.Jess()
-
-	flat, err := RunOne(cfg, bench, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Mutators = 1
-	sharded, err := RunSharded(cfg, bench, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.OOM || sharded.OOM {
-		t.Fatalf("unexpected OOM: flat=%v sharded=%v", flat.OOM, sharded.OOM)
-	}
-	if got, want := sharded.Counters.BytesAllocated, flat.Counters.BytesAllocated; got != want {
-		t.Fatalf("1-mutator sharded allocated %d bytes, flat %d — shard 0 must replay the flat stream", got, want)
-	}
-	ratio := sharded.TotalTime / flat.TotalTime
-	if ratio > 1.10 || ratio < 0.90 {
-		t.Fatalf("1-mutator sharded total time %.0f vs flat %.0f (ratio %.3f); want within 10%%",
-			sharded.TotalTime, flat.TotalTime, ratio)
-	}
-	if sharded.Mutators != 1 {
-		t.Fatalf("Mutators = %d, want 1", sharded.Mutators)
-	}
-}
-
 // TestRunShardedScaling pins the acceptance bound on scale-out: 8
 // mutators must deliver at least 3x the aggregate allocation+collection
 // throughput of 1, measured against the simulated N-core makespan (the
@@ -68,7 +32,7 @@ func TestRunShardedScaling(t *testing.T) {
 	throughput := func(n int) float64 {
 		env := env
 		env.Mutators = n
-		res, err := RunSharded(cfg, bench, env)
+		res, err := RunOne(cfg, bench, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +77,8 @@ func TestRunShardedRejectsFaults(t *testing.T) {
 	env.Mutators = 2
 	env.FaultSeed = 7
 	cfg := shardedTestConfig(t, env)
-	if _, err := RunSharded(cfg, workload.Jess(), env); err == nil {
-		t.Fatal("want an error for fault injection with multiple mutators")
+	_, err := RunOne(cfg, workload.Jess(), env)
+	if err == nil || !strings.Contains(err.Error(), "fault injection (-fault-seed) is single-mutator only") {
+		t.Fatalf("RunOne with 2 mutators and a fault seed: err = %v, want the single-mutator gate", err)
 	}
 }

@@ -14,7 +14,6 @@ func TestValidateEnv(t *testing.T) {
 	cases := []struct {
 		name        string
 		env         Env
-		forceShard  bool
 		wantErr     bool
 		wantMessage string
 	}{
@@ -24,7 +23,7 @@ func TestValidateEnv(t *testing.T) {
 		{name: "adaptive flat", env: Env{Mutators: 1, Policy: "slo"}},
 		{name: "adaptive with params", env: Env{Policy: "mmu:floor=0.7"}},
 		{name: "faults flat", env: Env{FaultSeed: 3}},
-		{name: "forced sharded plain", env: Env{Mutators: 1}, forceShard: true},
+		{name: "faults at one mutator", env: Env{Mutators: 1, FaultSeed: 9}},
 
 		{name: "negative mutators", env: Env{Mutators: -2},
 			wantErr: true, wantMessage: "-mutators must be at least 1"},
@@ -38,17 +37,13 @@ func TestValidateEnv(t *testing.T) {
 			wantErr: true, wantMessage: "fault injection (-fault-seed) is single-mutator only"},
 		{name: "adapt and faults sharded", env: Env{Mutators: 4, Policy: "slo", FaultSeed: 1},
 			wantErr: true, wantMessage: "single-mutator only"},
-		{name: "adapt forced sharded at one mutator", env: Env{Mutators: 1, Policy: "slo"}, forceShard: true,
-			wantErr: true, wantMessage: "single-mutator only"},
-		{name: "faults forced sharded at one mutator", env: Env{Mutators: 1, FaultSeed: 9}, forceShard: true,
-			wantErr: true, wantMessage: "fault injection (-fault-seed) is single-mutator only"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateEnv(tc.env, tc.forceShard)
+			err := ValidateEnv(tc.env)
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("ValidateEnv(%+v, %v) = nil, want error", tc.env, tc.forceShard)
+					t.Fatalf("ValidateEnv(%+v) = nil, want error", tc.env)
 				}
 				if !strings.Contains(err.Error(), tc.wantMessage) {
 					t.Fatalf("error %q does not contain %q", err, tc.wantMessage)
@@ -56,7 +51,7 @@ func TestValidateEnv(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("ValidateEnv(%+v, %v) = %v, want nil", tc.env, tc.forceShard, err)
+				t.Fatalf("ValidateEnv(%+v) = %v, want nil", tc.env, err)
 			}
 		})
 	}
@@ -73,7 +68,7 @@ func TestValidateEnvMatchesRuntime(t *testing.T) {
 		env := testEnv()
 		env.Scale = 0.05
 		tweak(&env)
-		if ValidateEnv(env, false) == nil {
+		if ValidateEnv(env) == nil {
 			t.Fatalf("gate accepts %+v", env)
 		}
 		if _, err := RunOne(appelFunc(env)(1<<20), workload.Get("db"), env); err == nil {

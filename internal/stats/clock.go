@@ -18,7 +18,9 @@ type Clock struct {
 	// Budget, when positive, is the maximum total cost the timeline may
 	// accumulate. Advance panics with BudgetExceeded once the clock
 	// passes it, giving runaway configurations a deterministic stopping
-	// point; harness.RunOne converts the panic into an aborted Result.
+	// point; the shard runtime recovers the panic and marks the shard
+	// aborted, which harness.RunOne and RunServer report as an aborted
+	// Result.
 	Budget float64
 
 	now       float64

@@ -204,6 +204,8 @@ func triggerName(t uint8) string {
 		return "forced-full"
 	case 5:
 		return "emergency"
+	case 6:
+		return "defrag"
 	default:
 		return "unknown"
 	}

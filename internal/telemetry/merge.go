@@ -12,22 +12,29 @@ import "sort"
 //     is independent of merge order, exactly like the Aggregator;
 //   - events interleave by cost-clock Time, ties broken by input
 //     (shard) order, and are re-stamped with a fresh Seq so the merged
-//     stream is a well-formed recorder stream;
+//     stream is a well-formed recorder stream; a single stream already
+//     is one, so its events keep their Seq (a one-shard run reports
+//     exactly what a lone recorder would);
 //   - dropped-event counts add.
 //
 // Nil snapshots are skipped; merging zero or all-nil snapshots yields
 // an empty snapshot.
 func MergeRunSnapshots(snaps ...*RunSnapshot) *RunSnapshot {
 	out := &RunSnapshot{Metrics: &RegistrySnapshot{}}
+	streams := 0
 	for _, s := range snaps {
 		if s == nil {
 			continue
 		}
+		streams++
 		out.Events = append(out.Events, s.Events...)
 		out.DroppedEvents += s.DroppedEvents
 		if s.Metrics != nil {
 			out.Metrics.Merge(s.Metrics)
 		}
+	}
+	if streams < 2 {
+		return out
 	}
 	sort.SliceStable(out.Events, func(i, j int) bool {
 		return out.Events[i].Time < out.Events[j].Time

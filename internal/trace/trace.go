@@ -262,6 +262,17 @@ func replayBody(t *Trace, m *vm.Mutator) error {
 		return typeTab[ti]
 	}
 
+	// Operands are checked against the mutator before each op runs, so a
+	// well-formed trace naming a dead handle, a slot or word past the
+	// object's end, or an unmatched Pop replays to an error, not a panic.
+	roots := m.C.Roots()
+	space := m.C.Space()
+	scopes := 0
+	object := func(h gc.Handle) bool { return roots.Live(h) && roots.Get(h) != heap.Nil }
+	refSlot := func(h gc.Handle, i int) bool { return object(h) && i < space.NumRefs(roots.Get(h)) }
+	dataWord := func(h gc.Handle, i int) bool { return object(h) && i < space.DataWords(roots.Get(h)) }
+	badOperand := func(at int) error { return fmt.Errorf("trace: bad operand in record at %d", at) }
+
 	d := &decoder{buf: t.buf}
 	for d.more() {
 		at := d.pos
@@ -287,7 +298,7 @@ func replayBody(t *Trace, m *vm.Mutator) error {
 			if d.err != nil {
 				return d.err
 			}
-			if td == nil {
+			if td == nil || td.Kind == heap.Scalar && length != 0 {
 				return fmt.Errorf("trace: bad alloc record at %d", at)
 			}
 			var h gc.Handle
@@ -307,6 +318,9 @@ func replayBody(t *Trace, m *vm.Mutator) error {
 			if d.err != nil {
 				return d.err
 			}
+			if !refSlot(obj, slot) || val != gc.NilHandle && !roots.Live(val) {
+				return badOperand(at)
+			}
 			if val == gc.NilHandle {
 				m.SetRefNil(obj, slot)
 			} else {
@@ -317,6 +331,9 @@ func replayBody(t *Trace, m *vm.Mutator) error {
 			if d.err != nil {
 				return d.err
 			}
+			if !refSlot(obj, slot) {
+				return badOperand(at)
+			}
 			if h := m.GetRef(obj, slot); int(h) != want {
 				return fmt.Errorf("trace: getref handle drift: got %d want %d", h, want)
 			}
@@ -325,11 +342,19 @@ func replayBody(t *Trace, m *vm.Mutator) error {
 			if d.err != nil {
 				return d.err
 			}
+			if !roots.Live(h) {
+				return badOperand(at)
+			}
 			m.Release(h)
 		case opPush:
 			m.Push()
+			scopes++
 		case opPop:
+			if scopes == 0 {
+				return badOperand(at)
+			}
 			m.Pop()
+			scopes--
 		case opSetData:
 			obj, i, v := gc.Handle(d.int()), d.int(), d.uvarint()
 			if d.err != nil {
@@ -338,11 +363,17 @@ func replayBody(t *Trace, m *vm.Mutator) error {
 			if v > math.MaxUint32 {
 				return fmt.Errorf("trace: bad setdata record at %d", at)
 			}
+			if !dataWord(obj, i) {
+				return badOperand(at)
+			}
 			m.SetData(obj, i, uint32(v))
 		case opGetData:
 			obj, i := gc.Handle(d.int()), d.int()
 			if d.err != nil {
 				return d.err
+			}
+			if !dataWord(obj, i) {
+				return badOperand(at)
 			}
 			m.GetData(obj, i)
 		case opWork:
@@ -362,6 +393,9 @@ func replayBody(t *Trace, m *vm.Mutator) error {
 			if d.err != nil {
 				return d.err
 			}
+			if h != gc.NilHandle && !roots.Live(h) {
+				return badOperand(at)
+			}
 			if out := m.Keep(h); int(out) != want {
 				return fmt.Errorf("trace: keep handle drift: got %d want %d", out, want)
 			}
@@ -370,7 +404,7 @@ func replayBody(t *Trace, m *vm.Mutator) error {
 			if d.err != nil {
 				return d.err
 			}
-			if td == nil {
+			if td == nil || td.Kind == heap.Scalar && length != 0 {
 				return fmt.Errorf("trace: bad pretenured alloc record at %d", at)
 			}
 			var h gc.Handle

@@ -11,7 +11,7 @@ import (
 	"beltway/internal/vm"
 )
 
-func newMutator(t *testing.T, cfg core.Config) *vm.Mutator {
+func newMutator(t testing.TB, cfg core.Config) *vm.Mutator {
 	t.Helper()
 	h, err := core.New(cfg, heap.NewRegistry())
 	if err != nil {
